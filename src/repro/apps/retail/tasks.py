@@ -340,7 +340,7 @@ def generated_stub_sloc():
     for name in ("PaymentService", "ShippingService"):
         _file, text = protos.ALL_PROTOS[name]
         stub = generate_client_stub(parse_idl(text))
-        total += len([l for l in stub.splitlines() if l.strip()])
+        total += len([line for line in stub.splitlines() if line.strip()])
     return total
 
 

@@ -211,6 +211,10 @@ def cmd_top(args):
     return 0
 
 
+def _burn_text(burn):
+    return f"{burn:.2f}x" if burn is not None else "-"
+
+
 def _cmd_top_slo(args):
     """`knactor top --slo`: burn rates and error budget under load.
 
@@ -280,12 +284,11 @@ def _cmd_top_slo(args):
                       if budget is not None else "no data")
         print(f"  {spec.name}: {budget_txt}")
         for entry in tracker.burn_rates(spec):
-            fmt = lambda burn: f"{burn:.2f}x" if burn is not None else "-"
             state = "ALERT" if entry["alert"] else "ok"
             print(f"    {entry['long_seconds']:g}s/"
                   f"{entry['short_seconds']:g}s window: "
-                  f"long {fmt(entry['long_burn'])} "
-                  f"short {fmt(entry['short_burn'])} "
+                  f"long {_burn_text(entry['long_burn'])} "
+                  f"short {_burn_text(entry['short_burn'])} "
                   f"(page at {entry['factor']:g}x) [{state}]")
     firing = tracker.alerts()
     print(f"alerts firing: {len(firing)}"

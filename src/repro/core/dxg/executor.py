@@ -27,7 +27,7 @@ issues one ``fcall`` per exchange instead of N reads + M writes.
 """
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import (
     AlreadyExistsError,

@@ -12,7 +12,7 @@ whenever a batch lands (optionally restricted to a trailing window) and
 patches the result into the target object's fields.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.integrator import Integrator
 from repro.errors import AlreadyExistsError, ConfigurationError

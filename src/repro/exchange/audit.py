@@ -7,7 +7,7 @@ store, verb, and touched fields, making cross-service data exchanges
 observable at the application level.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ callback on whatever event its generator yields.
 Times are floats in **seconds** of virtual time.
 """
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 
 #: Scheduling priorities.  URGENT is used internally for process resumption
@@ -38,13 +38,20 @@ class Event:
     callbacks have run.  ``succeed`` and ``fail`` both trigger the event;
     the distinction only affects what a waiting process sees (a value is
     sent into the generator, an exception is thrown into it).
+
+    Events are slotted: they take no ad-hoc attributes.  ``_defused`` is
+    the one defuse flag -- a failure handled by whoever set it does not
+    re-raise out of :meth:`Environment.step`.
     """
+
+    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
 
     def __init__(self, env):
         self.env = env
         self.callbacks = []
         self._value = _PENDING
         self._ok = None
+        self._defused = False
 
     @property
     def triggered(self):
@@ -70,7 +77,7 @@ class Event:
 
     def succeed(self, value=None):
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
@@ -81,7 +88,7 @@ class Event:
         """Trigger the event as failed with ``exception``."""
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
@@ -96,18 +103,25 @@ class Event:
 class Timeout(Event):
     """An event that fires after ``delay`` seconds of virtual time."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, env, delay, value=None):
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # Born triggered: set every slot here rather than via Event.__init__.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        env.schedule(self, delay)
 
 
 class _Condition(Event):
     """Shared implementation of :class:`AllOf` / :class:`AnyOf`."""
+
+    __slots__ = ("_events", "_pending")
 
     def __init__(self, env, events):
         super().__init__(env)
@@ -127,11 +141,11 @@ class _Condition(Event):
 
     def _observe(self, event):
         self._pending -= 1
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if not event.ok:
+        if not event._ok:
             event._defused = True
-            self.fail(event.value)
+            self.fail(event._value)
         elif self._done():
             self.succeed(self._collect())
 
@@ -145,11 +159,14 @@ class _Condition(Event):
         value from creation (so it reads as triggered), but it has not
         *fired* until its callbacks ran.
         """
-        return {e: e.value for e in self._events if e.processed and e.ok}
+        return {e: e._value for e in self._events
+                if e.callbacks is None and e._ok}
 
 
 class AllOf(_Condition):
     """Fires when *all* given events have fired (fails fast on failure)."""
+
+    __slots__ = ()
 
     def _done(self):
         return self._pending == 0
@@ -157,6 +174,8 @@ class AllOf(_Condition):
 
 class AnyOf(_Condition):
     """Fires when *any* one of the given events has fired."""
+
+    __slots__ = ()
 
     def _done(self):
         return self._pending < len(self._events) or not self._events
@@ -191,7 +210,7 @@ class Environment:
         """Queue ``event`` to fire ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        heapq.heappush(
+        heappush(
             self._queue, (self._now + delay, priority, next(self._eid), event)
         )
 
@@ -213,8 +232,6 @@ class Environment:
 
     def process(self, generator):
         """Start a new :class:`Process` running ``generator``."""
-        from repro.simnet.process import Process
-
         return Process(self, generator)
 
     def peek(self):
@@ -228,14 +245,14 @@ class Environment:
         """
         if not self._queue:
             raise SimulationError("no scheduled events")
-        when, _prio, _eid, event = heapq.heappop(self._queue)
+        when, _prio, _eid, event = heappop(self._queue)
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
-        if not event.ok and not getattr(event, "_defused", False):
+        if not event._ok and not event._defused:
             # An unhandled failure: re-raise so bugs don't pass silently.
-            raise event.value
+            raise event._value
 
     def run(self, until=None):
         """Run until no events remain, or until virtual time ``until``.
@@ -273,3 +290,8 @@ class Environment:
 
     def __repr__(self):
         return f"<Environment now={self._now} queued={len(self._queue)}>"
+
+
+# Process subclasses Event, so it can only be imported once this module is
+# complete; binding it here spares Environment.process() an import per call.
+from repro.simnet.process import Process  # noqa: E402

@@ -328,6 +328,8 @@ class Network:
         Consumes one sample from the drop rule's RNG when one applies,
         so verdicts are deterministic given the event schedule.
         """
+        if not (self._partitions or self._drop_rules or self._latency_spikes):
+            return False, 0.0  # no rules: nothing to match, no RNG to draw
         if self.is_partitioned(src, dst):
             self.messages_lost += 1
             return True, 0.0

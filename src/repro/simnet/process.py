@@ -15,11 +15,19 @@ so processes can wait on one another::
         assert result == "done"
 """
 
-from repro.simnet.events import URGENT, Event, Interrupt, SimulationError
+from repro.simnet.events import (
+    _PENDING,
+    URGENT,
+    Event,
+    Interrupt,
+    SimulationError,
+)
 
 
 class Process(Event):
     """A running simulation process (also an event: fires on completion)."""
+
+    __slots__ = ("_generator", "_target")
 
     def __init__(self, env, generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -38,7 +46,7 @@ class Process(Event):
     @property
     def is_alive(self):
         """True while the generator has not finished."""
-        return not self.triggered
+        return self._value is _PENDING
 
     @property
     def target(self):
@@ -59,50 +67,52 @@ class Process(Event):
         self.env.schedule(interrupt_event, priority=URGENT)
 
     def _resume(self, event):
-        if self.triggered:
+        if self._value is not _PENDING:
             return  # already finished (e.g. interrupted after completing)
         # Detach from the event we were waiting on (relevant for interrupts:
         # the original target may fire later and must not resume us again).
-        if self._target is not None and self._target is not event:
-            if self._target.callbacks is not None:
+        target = self._target
+        if target is not None and target is not event:
+            if target.callbacks is not None:
                 try:
-                    self._target.callbacks.remove(self._resume)
+                    target.callbacks.remove(self._resume)
                 except ValueError:
                     pass
-        self.env.active_process = self
+        env = self.env
+        env.active_process = self
         try:
-            if event.ok:
-                next_event = self._generator.send(event.value)
+            if event._ok:
+                next_event = self._generator.send(event._value)
             else:
                 event._defused = True
-                next_event = self._generator.throw(event.value)
+                next_event = self._generator.throw(event._value)
         except StopIteration as stop:
-            self.env.active_process = None
+            env.active_process = None
             self._target = None
-            self.succeed(getattr(stop, "value", None))
+            self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.env.active_process = None
+            env.active_process = None
             self._target = None
             self.fail(exc)
             return
-        self.env.active_process = None
+        env.active_process = None
         if not isinstance(next_event, Event):
             raise SimulationError(
                 f"process yielded a non-event: {next_event!r}"
             )
-        self._target = next_event
-        if next_event.processed:
+        if next_event.callbacks is None:
             # The event already fired; resume on the next scheduler tick.
-            redo = Event(self.env)
-            redo._ok = next_event.ok
+            redo = Event(env)
+            redo._ok = next_event._ok
             redo._value = next_event._value
-            if not next_event.ok:
+            if not redo._ok:
                 redo._defused = True
             redo.callbacks.append(self._resume)
-            self.env.schedule(redo, priority=URGENT)
+            env.schedule(redo, priority=URGENT)
             self._target = redo
         else:
+            self._target = next_event
             next_event.callbacks.append(self._resume)
 
     def __repr__(self):

@@ -57,7 +57,7 @@ def _blocked(name):
 class CowMap(dict):
     """A frozen dict view.  Reads are plain dict reads; writes raise."""
 
-    __slots__ = ()
+    __slots__ = ("_size",)  # estimate_size, stored on first use
 
     __setitem__ = _blocked("__setitem__")
     __delitem__ = _blocked("__delitem__")
@@ -88,7 +88,7 @@ class CowMap(dict):
 class CowList(list):
     """A frozen list view.  Reads are plain list reads; writes raise."""
 
-    __slots__ = ()
+    __slots__ = ("_size",)  # estimate_size, stored on first use
 
     __setitem__ = _blocked("__setitem__")
     __delitem__ = _blocked("__delitem__")
@@ -158,9 +158,10 @@ def merge_shared(base, patch, meter=None, site="merge"):
     deletes, nested dicts merge per key, everything else replaces) --
     but only the containers along patched paths are allocated; all
     untouched subtrees are shared by reference with ``base``.  ``base``
-    itself is never modified, so earlier views stay consistent.
+    itself is never modified, so earlier views stay consistent.  A plain
+    ``base`` is frozen first, so the result is frozen all the way down.
     """
-    merged = _merge_shared(base, patch)
+    merged = _merge_shared(freeze(base), patch)
     if meter is not None:
         # The actual allocation: re-pointed entries along patched paths
         # plus the frozen patch payload -- NOT the whole object.
@@ -238,7 +239,10 @@ def mask_shared(data, paths, meter=None):
             node = patch
             for part in parts[:-1]:
                 node = node.setdefault(part, {})
-            node[parts[-1]] = None
+                if node is None:
+                    break  # an enclosing path is masked already
+            else:
+                node[parts[-1]] = None
     if not patch:
         return freeze(data)
     return merge_shared(data, patch, meter=meter, site="mask")
@@ -315,7 +319,14 @@ class CopyMeter:
 
 
 def estimate_size(value):
-    """Rough serialized size in bytes (same model as ``store.base``)."""
+    """Rough serialized size in bytes; the one size model of the program.
+
+    Virtual-time sizing (request args, watch ``wire_size``) and the
+    :class:`CopyMeter` figures all read it.  A frozen view's size is
+    computed once and stored on the view: views are immutable, so it
+    cannot go stale, and a path-copied version re-walks only the
+    containers it re-created.  Plain containers are walked every time.
+    """
     if value is None:
         return 4
     if isinstance(value, bool):
@@ -324,10 +335,20 @@ def estimate_size(value):
         return 8
     if isinstance(value, str):
         return len(value) + 2
-    if isinstance(value, (list, tuple)):
-        return 2 + sum(estimate_size(v) + 1 for v in value)
+    if isinstance(value, (CowMap, CowList)):
+        try:
+            return value._size
+        except AttributeError:
+            size = value._size = _container_size(value)
+            return size
+    if isinstance(value, (list, tuple, dict)):
+        return _container_size(value)
+    return 16
+
+
+def _container_size(value):
     if isinstance(value, dict):
         return 2 + sum(
             estimate_size(k) + estimate_size(v) + 2 for k, v in value.items()
         )
-    return 16
+    return 2 + sum(estimate_size(v) + 1 for v in value)

@@ -162,6 +162,37 @@ def unwrap(value):
     return value
 
 
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp)
+
+
+def _visit_scoped(node, bound, visit):
+    """Call ``visit(node, bound)`` on ``node`` and, unless it returns True,
+    on every descendant.
+
+    ``bound`` holds the comprehension-target names in scope at a node.
+    As in Python, a comprehension's targets are bound throughout it,
+    except in its first iterable, which runs in the enclosing scope.
+    """
+    if visit(node, bound):
+        return
+    if isinstance(node, _COMPREHENSIONS):
+        inner = bound | {
+            target.id
+            for generator in node.generators
+            for target in ast.walk(generator.target)
+            if isinstance(target, ast.Name)
+        }
+        for index, generator in enumerate(node.generators):
+            _visit_scoped(generator.iter, bound if index == 0 else inner, visit)
+            _visit_scoped(generator.target, inner, visit)
+            for condition in generator.ifs:
+                _visit_scoped(condition, inner, visit)
+        _visit_scoped(node.elt, inner, visit)
+        return
+    for child in ast.iter_child_nodes(node):
+        _visit_scoped(child, bound, visit)
+
+
 class SafeExpression:
     """A parsed, validated expression ready for repeated evaluation."""
 
@@ -198,36 +229,29 @@ class SafeExpression:
 
     @staticmethod
     def _root_names(tree):
-        """Free variable names (excluding comprehension-bound names)."""
-        bound = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.comprehension):
-                for target in ast.walk(node.target):
-                    if isinstance(target, ast.Name):
-                        bound.add(target.id)
+        """The exact free names: loads outside every comprehension binding them."""
         names = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and node.id not in bound:
+
+        def visit(node, bound):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id not in bound):
                 names.add(node.id)
+            return False
+
+        _visit_scoped(tree, frozenset(), visit)
         return frozenset(names)
 
     def _dependency_paths(self, tree):
         """Dotted paths the expression reads, e.g. ``{("S","quote","price")}``.
 
-        Paths rooted at comprehension-bound names and at function names are
-        excluded.  An attribute chain contributes its longest prefix of
-        plain attribute accesses.
+        Paths rooted at names a comprehension binds (within that
+        comprehension) and at function names are excluded.  An attribute
+        chain contributes its longest prefix of plain attribute accesses.
         """
-        bound = set()
-        called = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.comprehension):
-                for target in ast.walk(node.target):
-                    if isinstance(target, ast.Name):
-                        bound.add(target.id)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                called.add(node.func.id)
-
+        called = {
+            node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
         paths = set()
 
         def chain(node):
@@ -240,41 +264,49 @@ class SafeExpression:
                 return tuple(reversed(parts))
             return None
 
-        class Visitor(ast.NodeVisitor):
-            def visit_Attribute(self, node):
+        def visit(node, bound):
+            if isinstance(node, ast.Attribute):
                 path = chain(node)
                 if path is not None and path[0] not in bound:
                     paths.add(path)
-                else:
-                    self.generic_visit(node)
+                    return True
+            elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id not in bound and node.id not in called):
+                paths.add((node.id,))
+            return False
 
-            def visit_Name(self, node):
-                if node.id not in bound and node.id not in called:
-                    paths.add((node.id,))
-
-        Visitor().visit(tree)
+        _visit_scoped(tree, frozenset(), visit)
         # Drop paths shadowed by a longer recorded path with the same root:
         # 'S.quote.price' subsumes nothing here, but a bare ('S',) recorded
         # from a different sub-expression is kept -- it is a real read.
         return frozenset(paths)
 
     def evaluate(self, context, functions=None):
-        """Evaluate against ``context`` (name -> state dict / scalar)."""
-        table = dict(SAFE_BUILTINS)
-        if functions:
-            table.update(functions)
-        scope = {name: _wrap(value) for name, value in context.items()}
-        # Context (data) shadows functions, like local names shadow
-        # builtins in Python: a record field named `max` is data.
-        missing = self.names - set(scope) - set(table)
+        """Evaluate against ``context`` (name -> state dict / scalar).
+
+        Only the names the expression reads are bound.  Context (data)
+        shadows functions, which shadow the safe builtins -- like local
+        names shadow builtins in Python: a record field named ``max`` is
+        data.  The names are bound as the expression's globals, so a
+        comprehension body sees them too.
+        """
+        scope = {"__builtins__": {}}
+        missing = []
+        for name in self.names:
+            if name in context:
+                scope[name] = _wrap(context[name])
+            elif functions and name in functions:
+                scope[name] = functions[name]
+            elif name in SAFE_BUILTINS:
+                scope[name] = SAFE_BUILTINS[name]
+            else:
+                missing.append(name)
         if missing:
             raise ExpressionError(
                 f"unbound name(s) {sorted(missing)} in {self.source!r}"
             )
         try:
-            result = eval(  # noqa: S307 -- validated, whitelisted AST
-                self._code, {"__builtins__": {}}, {**table, **scope}
-            )
+            result = eval(self._code, scope)  # noqa: S307 -- validated AST
             return unwrap(result)
         except ExpressionError:
             raise

@@ -161,7 +161,7 @@ class TestInstall:
                           store_name="vendorY-display-store")],
         ))
         rt.start()
-        cast = catalog.install("thermo-display", rt)
+        catalog.install("thermo-display", rt)
         handle = rt.handle_of("vendorX-thermo")
         call(handle.create("hall", {"celsius": 18.5, "room": "hall"}))
         env.run()

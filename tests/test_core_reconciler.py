@@ -219,7 +219,7 @@ class TestBoundedWorkQueue:
         bites on NEW keys, so level-triggered dedup stays lossless."""
         rec = SlowMarkDone()
         rec.max_queue = 1
-        knactor = build(runtime, rec)
+        build(runtime, rec)
         handle = runtime.handle_of("tasks")
         call(handle.create("t0", {"title": "a", "done": False}))
         for _ in range(5):

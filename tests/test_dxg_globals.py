@@ -6,7 +6,7 @@ from repro.core import Cast, Knactor, KnactorRuntime, StoreBinding
 from repro.core.dxg import parse_dxg
 from repro.errors import DXGParseError
 from repro.exchange import ObjectDE
-from repro.simnet import Environment, FixedLatency, Network
+from repro.simnet import FixedLatency, Network
 from repro.store import MemKV
 
 RATES_SCHEMA = """\

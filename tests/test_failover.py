@@ -1,7 +1,5 @@
 """Store failover: watches drop; reconcilers and integrators resync."""
 
-import pytest
-
 from repro.apps.retail.knactor_app import RetailKnactorApp
 from repro.apps.retail.workload import OrderWorkload
 from repro.core.optimizer import K_REDIS

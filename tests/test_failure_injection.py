@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core import Cast, Knactor, KnactorRuntime, Reconciler, StoreBinding
+from repro.core import Knactor, KnactorRuntime, Reconciler, StoreBinding
 from repro.core.dxg import DXGExecutor, parse_dxg
 from repro.errors import ConflictError, RPCStatusError
 from repro.exchange import ObjectDE
-from repro.simnet import Environment, FixedLatency, Network, UniformLatency
+from repro.simnet import Environment, Network, UniformLatency
 from repro.store import ApiServer, ApiServerClient
 
 SCHEMA_A = """\

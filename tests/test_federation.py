@@ -18,7 +18,6 @@ import pytest
 from repro.errors import (
     AccessDeniedError,
     ConfigurationError,
-    NotFoundError,
     QueryError,
 )
 from repro.exchange import LogDE, ObjectDE

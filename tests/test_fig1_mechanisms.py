@@ -18,7 +18,7 @@ from repro.exchange import ObjectDE
 from repro.pubsub import Broker, MessageCodec, PubSubClient
 from repro.rest import RestClient, RestServer
 from repro.rpc import RPCChannel, RPCServer, parse_idl
-from repro.simnet import Environment, FixedLatency, Network
+from repro.simnet import FixedLatency, Network
 from repro.store import MemKV
 
 READING = {"celsius": 21.5, "room": "den"}

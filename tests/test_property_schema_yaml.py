@@ -7,6 +7,7 @@ from repro.schema import Schema, diff_schemas
 from repro.util import yamlish
 from repro.util.paths import get_path, set_path, walk_leaves
 from repro.util.safeexpr import SafeExpression
+from repro.util.yamlish import _parse_scalar
 
 _keys = st.text(
     alphabet=st.characters(whitelist_categories=("Ll",)), min_size=1, max_size=8
@@ -65,9 +66,6 @@ _annotations = st.sampled_from(
     [None, "+kr: external", "+kr: ingest", "+kr: secret",
      "+kr: external, immutable"]
 )
-
-
-from repro.util.yamlish import _parse_scalar
 
 _field_names = _keys.filter(
     lambda k: k.isidentifier()

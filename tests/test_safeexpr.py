@@ -52,6 +52,23 @@ class TestNamesAndPaths:
         expr = SafeExpression("[i.name for i in A.items]")
         assert expr.names == {"A"}
 
+    def test_name_bound_in_one_comprehension_is_free_outside_it(self):
+        expr = SafeExpression("[x for x in L] + [x]")
+        assert expr.names == {"L", "x"}
+        assert ("x",) in expr.paths
+        assert expr.evaluate({"L": [1, 2], "x": 9}) == [1, 2, 9]
+
+    def test_first_iterable_runs_in_the_enclosing_scope(self):
+        # `x` in the first iterable is the outer x, not the target.
+        expr = SafeExpression("[x for x in x]")
+        assert expr.names == {"x"}
+        assert expr.evaluate({"x": [3, 4]}) == [3, 4]
+
+    def test_later_generators_see_earlier_targets(self):
+        expr = SafeExpression("[y for x in L for y in x if y > k]")
+        assert expr.names == {"L", "k"}
+        assert expr.evaluate({"L": [[1, 5], [7]], "k": 2}) == [5, 7]
+
     def test_dependency_paths(self):
         expr = SafeExpression("currency_convert(S.quote.price, S.quote.currency, this.currency)")
         assert ("S", "quote", "price") in expr.paths
@@ -77,6 +94,34 @@ class TestEvaluation:
         """Data wins over builtins, like Python locals over builtins."""
         assert SafeExpression("len").evaluate({"len": 5}) == 5
         assert SafeExpression("len('abc')").evaluate({}) == 3
+
+    def test_context_field_named_like_a_builtin_is_data(self):
+        context = {"max": {"a": 3}, "n": 1}
+        assert SafeExpression("max.a + n").evaluate(context) == 4
+        # Without the field, the same name is the builtin again.
+        assert SafeExpression("max(n, 2)").evaluate({"n": 1}) == 2
+
+    def test_functions_shadow_builtins(self):
+        expr = SafeExpression("len(x)")
+        assert expr.evaluate({"x": [1, 2]}, {"len": lambda v: -1}) == -1
+
+    def test_comprehension_body_sees_outer_names(self):
+        expr = SafeExpression("[max(x, floor) for x in L]")
+        assert expr.evaluate({"L": [1, 5], "floor": 3}) == [3, 5]
+        expr = SafeExpression("[double(x) for x in L]")
+        assert expr.evaluate({"L": [1, 2]}, {"double": lambda v: v * 2}) == [2, 4]
+
+    def test_only_read_names_are_bound(self):
+        """Unused context entries are neither required nor touched."""
+        class Untouchable(list):
+            def __iter__(self):
+                raise AssertionError("an unread context value was wrapped")
+
+        assert SafeExpression("a + 1").evaluate({"a": 1, "b": Untouchable()}) == 2
+
+    def test_missing_names_listed_sorted(self):
+        with pytest.raises(ExpressionError, match=r"\['x', 'y'\]"):
+            SafeExpression("y + x + n").evaluate({"n": 1})
 
     def test_attribute_chains_on_dicts(self):
         value = SafeExpression("A.b.c").evaluate({"A": {"b": {"c": 42}}})

@@ -105,6 +105,36 @@ class TestEvent:
             Timeout(env, -1.0)
 
 
+class TestSlots:
+    """Event objects are slotted: no per-instance dict, one defuse flag."""
+
+    def test_events_have_no_instance_dict(self, env):
+        first, second = env.timeout(1.0), Event(env)
+        for evt in (first, second, env.all_of([first]), env.any_of([second])):
+            assert not hasattr(evt, "__dict__")
+        with pytest.raises(AttributeError):
+            first.ad_hoc = 1
+
+    def test_defused_defaults_to_false(self, env):
+        for evt in (env.event(), env.timeout(1.0), AllOf(env, []),
+                    AnyOf(env, [])):
+            assert evt._defused is False
+
+    def test_defused_failure_does_not_reraise(self, env):
+        # As an abandoned coordinator call or retry attempt does: defuse
+        # first, then let the failure land with nobody waiting on it.
+        evt = env.event()
+        evt._defused = True
+        evt.fail(ValueError("late"))
+        env.step()
+        assert evt.processed and not evt.ok
+
+    def test_timeout_carries_delay_and_value(self, env):
+        evt = env.timeout(2.5, "v")
+        assert evt.delay == 2.5 and evt.triggered and not evt.processed
+        assert env.run(until=evt) == "v"
+
+
 class TestConditions:
     def test_all_of_waits_for_every_event(self, env):
         t1 = env.timeout(1.0, "a")

@@ -152,3 +152,51 @@ class TestInterrupt:
         env.run()
         with pytest.raises(SimulationError):
             p.interrupt()
+
+
+class TestSlots:
+    def test_process_has_no_instance_dict(self, env):
+        def quick(env):
+            yield env.timeout(0.1)
+
+        proc = env.process(quick(env))
+        assert not hasattr(proc, "__dict__")
+        assert proc._defused is False
+        with pytest.raises(AttributeError):
+            proc.ad_hoc = 1
+
+    def test_defused_target_of_an_abandoned_wait_does_not_reraise(self, env):
+        """The coordinator/retry pattern: defuse, walk away, fail later."""
+        reply = env.event()
+
+        def asker(env):
+            try:
+                yield reply
+            except Interrupt:
+                reply._defused = True  # nobody will collect this answer
+
+        def canceller(env, proc):
+            yield env.timeout(1.0)
+            proc.interrupt()
+            yield env.timeout(1.0)
+            reply.fail(ValueError("late answer"))
+
+        proc = env.process(asker(env))
+        env.process(canceller(env, proc))
+        env.run()
+        assert env.now == 2.0 and not proc.is_alive
+
+    def test_failure_thrown_into_a_waiter_is_defused(self, env):
+        caught = []
+        failing = env.event()
+
+        def waiter(env):
+            try:
+                yield failing
+            except ValueError as exc:
+                caught.append(str(exc))
+
+        env.process(waiter(env))
+        failing.fail(ValueError("handled"))
+        env.run()
+        assert caught == ["handled"] and failing._defused is True

@@ -2,8 +2,11 @@
 
 import copy
 import json
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.store.cow import (
     CopyMeter,
@@ -185,6 +188,11 @@ class TestMaskShared:
         data = freeze({"x": 5})
         assert mask_shared(data, ["x.y"]) == {"x": 5}
 
+    def test_nested_path_under_a_masked_path(self):
+        data = freeze({"a": {"b": 1, "c": 2}, "d": 3})
+        for paths in (["a", "a.b"], ["a.b", "a"]):
+            assert mask_shared(data, paths) == {"d": 3}
+
 
 class TestCopyMeter:
     def test_records_by_site(self):
@@ -223,3 +231,93 @@ class TestThaw:
     def test_thaw_passthrough_scalars(self):
         assert thaw(5) == 5
         assert thaw("s") == "s"
+
+
+# -- the size memo on frozen views ------------------------------------------
+
+_keys = st.text(alphabet="abcdefgh", min_size=1, max_size=4)
+_scalars = (st.none() | st.booleans() | st.integers(-10**6, 10**6)
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.text(max_size=8))
+_json = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_keys, kids, max_size=4),
+    max_leaves=20,
+)
+_objects = st.dictionaries(_keys, _json, max_size=5)
+
+
+def _frozen_nodes(value):
+    """Every frozen container in ``value``, root first."""
+    if is_frozen(value):
+        yield value
+        children = value.values() if isinstance(value, dict) else value
+        for child in children:
+            yield from _frozen_nodes(child)
+
+
+def _assert_stored_sizes_fresh(root):
+    """Each stored size equals a fresh walk of the node's thawed copy."""
+    for node in _frozen_nodes(root):
+        stored = getattr(node, "_size", None)
+        if stored is not None:
+            assert stored == estimate_size(thaw(node))
+
+
+class TestSizeMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(value=_json)
+    def test_frozen_size_matches_thawed_on_every_call(self, value):
+        frozen = freeze(value)
+        expected = estimate_size(thaw(frozen))
+        assert expected == estimate_size(value)
+        assert estimate_size(frozen) == expected  # computes and stores
+        assert estimate_size(frozen) == expected  # reads the stored size
+        _assert_stored_sizes_fresh(frozen)
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=_objects, patch=_objects)
+    def test_merge_shared_root_size_is_fresh(self, base, patch):
+        frozen = freeze(base)
+        estimate_size(frozen)  # store sizes on every subtree the merge shares
+        merged = merge_shared(frozen, patch)
+        assert estimate_size(merged) == estimate_size(thaw(merged))
+        assert merged._size == estimate_size(thaw(merged))
+        _assert_stored_sizes_fresh(merged)
+        # The old version keeps its own, still-correct size.
+        assert estimate_size(frozen) == estimate_size(base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=_objects, choices=st.data())
+    def test_mask_shared_root_size_is_fresh(self, data, choices):
+        frozen = freeze(data)
+        estimate_size(frozen)
+        paths = [key for key in data if choices.draw(st.booleans())]
+        nested = [f"{key}.{inner}" for key, value in data.items()
+                  if isinstance(value, dict) for inner in value]
+        paths += nested[:2]
+        masked = mask_shared(frozen, paths)
+        assert estimate_size(masked) == estimate_size(thaw(masked))
+        assert masked._size == estimate_size(thaw(masked))
+        _assert_stored_sizes_fresh(masked)
+
+    def test_merge_over_plain_base_is_frozen_all_the_way_down(self):
+        base = {"a": {"b": [1, 2]}, "c": {"d": 1}}
+        merged = merge_shared(base, {"c": {"e": 2}})
+        assert is_frozen(merged["a"]) and is_frozen(merged["a"]["b"])
+        size = estimate_size(merged)
+        base["a"]["b"].append(3)  # the caller's data; the view is unaffected
+        assert estimate_size(merged) == size == estimate_size(thaw(merged))
+
+    @settings(max_examples=40, deadline=None)
+    @given(value=_json.filter(lambda v: isinstance(v, (dict, list))))
+    def test_copies_of_a_sized_view_are_plain_and_same_size(self, value):
+        frozen = freeze(value)
+        size = estimate_size(frozen)
+        plain_type = dict if isinstance(value, dict) else list
+        for copied in (copy.copy(frozen), copy.deepcopy(frozen),
+                       pickle.loads(pickle.dumps(frozen))):
+            assert type(copied) is plain_type
+            assert not hasattr(copied, "_size")
+            assert estimate_size(copied) == size
