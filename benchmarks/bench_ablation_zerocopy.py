@@ -16,7 +16,7 @@ from repro.metrics.report import Table
 
 REMOTE = OptimizationProfile(name="K-redis", backend="memkv")
 ZERO_COPY = OptimizationProfile(
-    name="K-redis-zerocopy", backend="memkv", zero_copy=True
+    name="K-redis-zerocopy", backend="memkv", colocate=True
 )
 
 ITEM_COUNTS = (2, 100)

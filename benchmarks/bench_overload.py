@@ -35,6 +35,7 @@ from repro.core.optimizer import K_APISERVER
 from repro.faults import RetryPolicy
 from repro.flow import BULK, FlowConfig
 from repro.simnet.network import FixedLatency
+from repro.util.stats import nearest_rank
 
 SEED = 13
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_overload.json"
@@ -60,14 +61,6 @@ BENCH_FLOW = FlowConfig(
     admission_queue_high=6,
     principals={"bench-bulk": BULK},
 )
-
-
-def _percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
-    return ordered[index]
 
 
 def _state_digest(app):
@@ -148,8 +141,8 @@ def run_case(orders, flow, seed=SEED):
         "failed": len(failures),
         "burst_window_s": window,
         "orders_per_sec": len(latencies) / window if window > 0 else 0.0,
-        "order_p50_s": _percentile(latencies, 0.50),
-        "order_p99_s": _percentile(latencies, 0.99),
+        "order_p50_s": nearest_rank(latencies, 0.50),
+        "order_p99_s": nearest_rank(latencies, 0.99),
         "retry_stats": retry.stats(),
         "state_digest": _state_digest(app),
         "reconciler_queue_peak": max(reconciler_peaks.values(), default=0),

@@ -35,6 +35,7 @@ from repro.core.optimizer import K_APISERVER
 from repro.realtime import RealtimeEnvironment
 from repro.simnet import Environment
 from repro.store import Topology
+from repro.util.stats import nearest_rank
 
 SEED = 11
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_realtime.json"
@@ -47,14 +48,6 @@ SMOKE_BURST_ORDERS = 12
 
 #: Schedule seconds the pacing case must run (the carrier call alone).
 PACING_MIN_SCHEDULE = 0.2
-
-
-def _percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
-    return ordered[index]
 
 
 def _digest(payload):
@@ -131,8 +124,8 @@ def run_case(backend, shards, orders):
         "wall_ops_per_sec": (
             ops_in_window / burst_wall if burst_wall > 0 else 0.0
         ),
-        "create_wall_p50_s": _percentile(latencies, 0.50),
-        "create_wall_p99_s": _percentile(latencies, 0.99),
+        "create_wall_p50_s": nearest_rank(latencies, 0.50),
+        "create_wall_p99_s": nearest_rank(latencies, 0.99),
         "fulfilled": fulfilled,
         "state_fingerprint": _digest(state),
         "event_order_fingerprint": _digest(watched),

@@ -31,6 +31,7 @@ from repro.apps.retail.knactor_app import RetailKnactorApp
 from repro.apps.retail.workload import OrderWorkload
 from repro.core.optimizer import K_APISERVER, K_REDIS
 from repro.store import Topology
+from repro.util.stats import nearest_rank
 
 SEED = 11
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_shard_scaling.json"
@@ -45,14 +46,6 @@ BATCH_WINDOW = 0.005
 THROUGHPUT_ORDERS = 32
 FANOUT_ORDERS = 8
 PATCH_ROUNDS = 6
-
-
-def _percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
-    return ordered[index]
 
 
 # -- part A: shard count vs op throughput ----------------------------------
@@ -97,8 +90,8 @@ def run_shard_case(shards, orders=THROUGHPUT_ORDERS):
         "burst_window_s": window,
         "ops_in_window": ops_in_window,
         "ops_per_sec": ops_in_window / window if window > 0 else 0.0,
-        "create_p50_s": _percentile(latencies, 0.50),
-        "create_p99_s": _percentile(latencies, 0.99),
+        "create_p50_s": nearest_rank(latencies, 0.50),
+        "create_p99_s": nearest_rank(latencies, 0.99),
         "fulfilled": fulfilled,
     }
 

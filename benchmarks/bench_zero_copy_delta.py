@@ -37,6 +37,7 @@ from repro.apps.retail.knactor_app import RetailKnactorApp
 from repro.apps.retail.workload import OrderWorkload
 from repro.core.optimizer import K_APISERVER
 from repro.store import Topology
+from repro.util.stats import nearest_rank
 
 SEED = 17
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_zero_copy_delta.json"
@@ -57,14 +58,6 @@ SMOKE_PATCH_ROUNDS = 5
 #: out to each of them, so snapshot copies (deepcopy mode) and full
 #: snapshots on the wire (non-delta modes) scale with this.
 WATCHERS = 6
-
-
-def _percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
-    return ordered[index]
 
 
 def run_case(mode, zero_copy, delta_watch, shards,
@@ -142,8 +135,8 @@ def run_case(mode, zero_copy, delta_watch, shards,
         "orders": orders,
         "burst_window_s": window,
         "ops_per_sec": ops_in_window / window if window > 0 else 0.0,
-        "create_p50_s": _percentile(latencies, 0.50),
-        "create_p99_s": _percentile(latencies, 0.99),
+        "create_p50_s": nearest_rank(latencies, 0.50),
+        "create_p99_s": nearest_rank(latencies, 0.99),
         "copied_bytes": copy["copied_bytes"],
         "copies": copy["copies"],
         "copied_by_site": copy["by_site"],

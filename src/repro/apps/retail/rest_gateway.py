@@ -26,6 +26,7 @@ from repro.apps.retail.knactor_app import RetailKnactorApp
 from repro.core.optimizer import K_APISERVER
 from repro.errors import ConfigurationError, ReproError
 from repro.rest import HTTPError, Response, RestServer
+from repro.store import Topology
 
 
 class RetailGateway:
@@ -105,7 +106,8 @@ def serve_retail(host="127.0.0.1", port=0, profile=K_APISERVER, shards=1,
     Returns ``(app, gateway, listener)`` with the socket already bound
     (read ``listener.port``).  Drive traffic by running the kernel:
     ``app.env.run()`` idles waiting for connections until
-    ``listener.stop()``.
+    ``listener.stop()``.  ``shards > 1`` hash-partitions the Object
+    backend over that many shards (``topology=Topology(shards=shards)``).
     """
     if factor < 0:
         raise ConfigurationError(f"negative time factor {factor}")
@@ -113,7 +115,8 @@ def serve_retail(host="127.0.0.1", port=0, profile=K_APISERVER, shards=1,
 
     env = RealtimeEnvironment(factor=factor)
     app = RetailKnactorApp.build(
-        env=env, profile=profile, seed=seed, shards=shards
+        env=env, profile=profile, seed=seed,
+        topology=Topology(shards=shards) if shards > 1 else None,
     )
     gateway = RetailGateway(app)
     listener = gateway.serve(host=host, port=port)

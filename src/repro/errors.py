@@ -33,8 +33,7 @@ class QueryError(StoreError):
     operator specs, unknown operators/aggregations, a ``sort`` over a
     field no record carries, and un-orderable mixed-type sorts -- always
     naming the offending operator spec in the message.  Subclasses
-    :class:`StoreError` so pre-extraction handlers (the engine used to
-    live in ``repro.store.zql``) keep catching it.
+    :class:`StoreError` so store-level handlers catch it too.
     """
 
 

@@ -358,9 +358,7 @@ class DataExchange:
         Returns a process event yielding a
         :class:`repro.query.QueryResult`.  This subsumes the historical
         read spellings -- ``handle.list()`` plus a hand-compiled
-        ``zql.compile_query`` pipeline, or per-DE query verbs -- behind
-        one shape (``compile_query`` itself survives only as a warn-once
-        shim in :mod:`repro.store.zql`).
+        pipeline, or per-DE query verbs -- behind one shape.
         """
         if isinstance(target, Query):
             spec, target = target, target.target

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError, OverloadedError
+from repro.util.stats import nearest_rank
 
 
 @dataclass
@@ -54,14 +55,6 @@ class _ClassTrace:
     latencies: list = field(default_factory=list)
     outcomes: dict = field(default_factory=dict)
     trace_ids: list = field(default_factory=list)
-
-
-def _percentile(values, q):
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, round(q * (len(ordered) - 1)))
-    return ordered[index]
 
 
 @dataclass
@@ -100,7 +93,7 @@ class LoadResult:
         return merged
 
     def percentile(self, q, cls=None):
-        return _percentile(self.latencies(cls), q)
+        return nearest_rank(self.latencies(cls), q)
 
     def fingerprint(self):
         """A digest of the *offered* load: schedule + key sequence.
@@ -141,7 +134,7 @@ class LoadResult:
                 name: {
                     "offered": len(trace.arrival_times),
                     "outcomes": dict(trace.outcomes),
-                    "p99_s": _percentile(trace.latencies, 0.99),
+                    "p99_s": nearest_rank(trace.latencies, 0.99),
                 }
                 for name, trace in sorted(self.classes.items())
             },

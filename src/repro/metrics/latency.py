@@ -1,9 +1,9 @@
 """Per-stage latency extraction and summary statistics (Table 2)."""
 
-import math
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.util.stats import interpolated
 
 
 def summarize(values):
@@ -12,20 +12,10 @@ def summarize(values):
         raise ConfigurationError("no values to summarize")
     ordered = sorted(values)
     n = len(ordered)
-
-    def percentile(p):
-        if n == 1:
-            return ordered[0]
-        rank = p * (n - 1)
-        low = int(math.floor(rank))
-        high = min(low + 1, n - 1)
-        fraction = rank - low
-        return ordered[low] * (1 - fraction) + ordered[high] * fraction
-
     return {
         "mean": sum(ordered) / n,
-        "p50": percentile(0.50),
-        "p99": percentile(0.99),
+        "p50": interpolated(ordered, 0.50),
+        "p99": interpolated(ordered, 0.99),
         "min": ordered[0],
         "max": ordered[-1],
         "count": n,

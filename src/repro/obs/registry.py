@@ -20,6 +20,7 @@ per-series increases and rates over the elapsed *simulated* interval.
 """
 
 from repro.errors import ConfigurationError
+from repro.util.stats import interpolated
 
 COUNTER = "counter"
 GAUGE = "gauge"
@@ -181,15 +182,6 @@ class Registry:
         entry = self._metrics.get(name)
         return dict(entry[1]) if entry is not None else {}
 
-    @staticmethod
-    def _percentile(ordered, q):
-        if not ordered:
-            return None
-        rank = q * (len(ordered) - 1)
-        low = int(rank)
-        high = min(low + 1, len(ordered) - 1)
-        return ordered[low] * (1 - (rank - low)) + ordered[high] * (rank - low)
-
     def _series_value(self, series):
         if series.kind == HISTOGRAM:
             ordered = sorted(series.values)
@@ -198,8 +190,8 @@ class Registry:
                 "sum": series.total,
                 "min": ordered[0] if ordered else None,
                 "max": ordered[-1] if ordered else None,
-                "p50": self._percentile(ordered, 0.5),
-                "p99": self._percentile(ordered, 0.99),
+                "p50": interpolated(ordered, 0.5),
+                "p99": interpolated(ordered, 0.99),
             }
             if series.exemplars:
                 summary["exemplars"] = [

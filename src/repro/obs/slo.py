@@ -11,9 +11,8 @@ The PR-4 obs plane records what happened; this layer judges it.  An
   plane count against the budget),
 - :class:`FreshnessSLO` -- a :class:`LatencySLO` over ``watch_lag_seconds``:
   how stale downstream state is allowed to run,
-- :class:`TraceLatencySLO` -- the legacy trace-span objective (percentile
-  of one integrator's exchange spans), folded in from
-  ``repro.metrics.telemetry.SLOMonitor``.
+- :class:`TraceLatencySLO` -- a trace-span objective (percentile of one
+  integrator's exchange spans in the latency tracer).
 
 Evaluation returns :class:`SLOResult` objects that carry **trace
 exemplars**: the worst over-threshold samples keep their causal trace id
@@ -37,6 +36,7 @@ reservoirs, never wall clocks, so same-seed runs produce bit-identical
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.util.stats import interpolated
 
 LATENCY = "latency"
 AVAILABILITY = "availability"
@@ -86,15 +86,6 @@ def _match(label_key, labels):
         return True
     have = _parse_label_key(label_key)
     return all(have.get(k) == str(v) for k, v in labels.items())
-
-
-def _percentile(ordered, q):
-    if not ordered:
-        return None
-    rank = q * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] * (1 - (rank - low)) + ordered[high] * (rank - low)
 
 
 @dataclass
@@ -263,7 +254,7 @@ class LatencySLO(SLOSpec):
                 objective=self.threshold_seconds, target=self.percentile,
                 detail=f"no samples of {self.metric}",
             ), tracker)
-        observed = _percentile(sorted(reservoir), self.percentile)
+        observed = interpolated(sorted(reservoir), self.percentile)
         good, total = self.good_total(registry)
         met = observed <= self.threshold_seconds
         result = SLOResult(
@@ -387,12 +378,13 @@ class AvailabilitySLO(SLOSpec):
 
 @dataclass
 class TraceLatencySLO(SLOSpec):
-    """The legacy objective: a percentile of one integrator's exchange
-    spans (begin -> end in the latency tracer) under a target.
+    """A percentile of one integrator's exchange spans (begin -> end in
+    the latency tracer) under a target.
 
-    Folded in from ``repro.metrics.telemetry.SLOMonitor``; evaluated
-    against a :class:`~repro.simnet.trace.Tracer` rather than the
-    registry, so it has no burn-rate view.
+    Evaluated against a :class:`~repro.simnet.trace.Tracer` rather than
+    the registry, so it has no burn-rate view.  Zero recorded spans is
+    an answer, not an error: the result carries ``no_data=True`` and
+    ``met=False``, so a dead integrator reads as a violated objective.
     """
 
     integrator: str = None
@@ -426,7 +418,7 @@ class TraceLatencySLO(SLOSpec):
                 objective=self.target_seconds, target=self.percentile,
                 detail=f"no exchange spans for {self.integrator}",
             )
-        observed = _percentile(sorted(durations), self.percentile)
+        observed = interpolated(sorted(durations), self.percentile)
         met = observed <= self.target_seconds
         good = sum(1 for d in durations if d <= self.target_seconds)
         return SLOResult(

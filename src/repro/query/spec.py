@@ -2,8 +2,7 @@
 
 One keyword-only :class:`Query` subsumes the repo's historically
 fragmented read surface -- ``ObjectStoreHandle.list()`` + local
-filtering, ad-hoc ``zql.compile_query`` call sites, and per-DE query
-verbs -- behind a single shape the exchange (and the federation
+filtering, hand-compiled pipelines, and per-DE query verbs -- behind a single shape the exchange (and the federation
 planner) can reason about:
 
 - ``target``: a hosted store name or a registered composed-view name;

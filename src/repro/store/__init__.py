@@ -53,7 +53,6 @@ from repro.store.sharded import (
     MergedWatch,
     ShardedStore,
     ShardedStoreClient,
-    shard_index,
 )
 from repro.store.retention import RefCountRetention, RetentionPolicy, TTLRetention
 from repro.store.udf import TxnUDFContext, UDFContext, UDFRegistry
@@ -99,6 +98,5 @@ __all__ = [
     "key_in_ranges",
     "mask_shared",
     "merge_shared",
-    "shard_index",
     "thaw",
 ]

@@ -2,8 +2,8 @@
 
 The Log Data Exchange keeps state as structured / semi-structured records
 in append-only *pools* and exposes data ingestion (``load``) plus analytics
-(``query``) APIs.  Queries are :mod:`repro.store.zql` pipelines executed
-server-side.
+(``query``) APIs.  Queries are shared-core pipelines
+(:func:`repro.query.compile_ops`) executed server-side.
 
 Records are plain dicts; the lake stamps each with ``_seq`` (a pool-unique,
 monotonically increasing sequence number) and ``_ts`` (ingest time).

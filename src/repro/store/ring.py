@@ -23,15 +23,13 @@ replaces it with a classic consistent-hash ring with virtual nodes:
   its feet -- see ``docs/transactions.md``.
 
 :class:`Topology` is the API-redesign half: one spec object (ring seed,
-vnodes, min/max shards, autoscale policy) replacing the scattered
-integer ``shards=`` knobs.  The old knobs keep working through a
-warn-once deprecation shim (:func:`coerce_shards_knob`); migration
-hints live in ``docs/api.md``.
+vnodes, min/max shards, autoscale policy) that is the only way to shard
+a store; migration hints from the old integer ``shards=`` knobs live in
+``docs/api.md``.
 """
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -305,41 +303,3 @@ class Topology:
 
     def build_ring(self, members=()):
         return ShardRing(seed=self.seed, vnodes=self.vnodes, members=members)
-
-
-# -- deprecation shims --------------------------------------------------------
-
-_DEPRECATION_SEEN = set()
-
-
-def _reset_deprecations():
-    """Test hook: re-arm the warn-once registry."""
-    _DEPRECATION_SEEN.clear()
-
-
-def deprecation_notice(message, dedup_key, stacklevel=3):
-    """Emit ``message`` as a DeprecationWarning, once per ``dedup_key``."""
-    if dedup_key in _DEPRECATION_SEEN:
-        return
-    _DEPRECATION_SEEN.add(dedup_key)
-    warnings.warn(message, DeprecationWarning, stacklevel=stacklevel)
-
-
-def coerce_shards_knob(shards, where):
-    """Map a legacy integer ``shards=N`` knob to a :class:`Topology`.
-
-    Returns ``None`` for ``shards <= 1`` (the unsharded default) so
-    callers keep their single-backend fast path.  Warns once per call
-    site; see ``docs/api.md`` for the migration recipe.
-    """
-    deprecation_notice(
-        f"{where}: the integer shards= knob is deprecated; pass "
-        "topology=Topology(shards=N) instead (repro.store.Topology) -- "
-        "see docs/api.md",
-        dedup_key=("shards-knob", where),
-        stacklevel=4,
-    )
-    shards = int(shards)
-    if shards <= 1:
-        return None
-    return Topology(shards=shards)

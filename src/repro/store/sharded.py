@@ -17,8 +17,8 @@ Design points:
   :meth:`ShardedStore.reshard` and :mod:`repro.store.reshard`).
 - **Topology is a first-class spec**: :class:`~repro.store.ring.Topology`
   (ring seed, vnodes, min/max shards, autoscale policy) replaces the
-  scattered integer ``shards=`` knobs; legacy knobs map through a
-  warn-once shim (``docs/api.md``).
+  scattered integer ``shards=`` knobs (migration table in
+  ``docs/api.md``).
 - **Revisions are per shard.**  There is no global commit order across
   shards -- exactly like real sharded stores.  Cross-key invariants that
   need one commit order must keep those keys on one shard (see ``txn``).
@@ -49,7 +49,7 @@ from repro.errors import (
 from repro.store.apiserver import ApiServer, ApiServerClient
 from repro.store.base import StoreClient
 from repro.store.memkv import MemKV, MemKVClient
-from repro.store.ring import ShardRing, Topology, deprecation_notice
+from repro.store.ring import Topology
 
 #: How long a rerouting client backs off before re-resolving ownership
 #: of a fenced key.  Well under the cutover drain window, so a client
@@ -59,30 +59,6 @@ REROUTE_BACKOFF = 0.004
 #: Reroute attempts before giving up (covers a full cutover window --
 #: seal + drain + reconcile -- with a wide margin).
 REROUTE_ATTEMPTS = 250
-
-
-_RING_CACHE = {}
-
-
-def shard_index(key, shard_count):
-    """Deprecated placement helper: owner index on a default ring.
-
-    Kept as a warn-once shim for callers of the old modulo router; it
-    now answers from ``ShardRing.for_count(shard_count)`` so it always
-    agrees with what a default-topology :class:`ShardedStore` does.
-    Migrate to ``store.ring.owner_index(key)`` (live stores) or
-    ``ShardRing.for_count(n).owner_index(key)`` -- see docs/api.md.
-    """
-    deprecation_notice(
-        "shard_index() is deprecated: placement now comes from the "
-        "consistent-hash ring; use ShardRing.for_count(n).owner_index(key) "
-        "or store.ring -- see docs/api.md",
-        dedup_key="shard_index",
-    )
-    ring = _RING_CACHE.get(shard_count)
-    if ring is None:
-        ring = _RING_CACHE[shard_count] = ShardRing.for_count(shard_count)
-    return ring.owner_index(key)
 
 
 #: Typed client used per shard, by backend class.

@@ -25,7 +25,6 @@ _ALLOWED_NODES = (
     ast.Store,  # comprehension targets bind names
     ast.Attribute,
     ast.Subscript,
-    ast.Index if hasattr(ast, "Index") else ast.Constant,  # py<3.9 compat shim
     ast.Slice,
     ast.Tuple,
     ast.List,

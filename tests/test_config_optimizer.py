@@ -51,9 +51,9 @@ class TestProfiles:
         assert options.trust_cache_for_missing
         assert options.consolidate
 
-    def test_integrator_location_zero_copy(self):
-        zero_copy = OptimizationProfile(name="zc", zero_copy=True)
-        assert zero_copy.integrator_location("backend-node", "own-node") == "backend-node"
+    def test_integrator_location_colocate(self):
+        colocated = OptimizationProfile(name="co", colocate=True)
+        assert colocated.integrator_location("backend-node", "own-node") == "backend-node"
         assert K_REDIS.integrator_location("backend-node", "own-node") == "own-node"
 
 

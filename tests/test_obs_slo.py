@@ -276,6 +276,9 @@ class TestTraceLatencySLO:
             TraceLatencySLO("legacy", target_seconds=0.1)  # no integrator
         with pytest.raises(ConfigurationError):
             TraceLatencySLO("legacy", integrator="sync", target_seconds=0)
+        with pytest.raises(ConfigurationError):
+            TraceLatencySLO("legacy", integrator="sync", target_seconds=1,
+                            percentile=1.5)
 
 
 class TestEvaluateAndReport:

@@ -8,6 +8,7 @@ kernel in the main thread until the client reports completion.
 import http.client
 import json
 import threading
+import warnings
 from urllib.parse import quote
 
 import pytest
@@ -18,6 +19,7 @@ from repro.errors import ConfigurationError
 from repro.realtime import RealtimeEnvironment
 from repro.rest import RestServer
 from repro.simnet import Environment, Network
+from repro.store import ShardedStore
 
 
 def _drive(env, listener, done, settle=0.05):
@@ -209,6 +211,19 @@ class TestRetailGateway:
         assert created["key"].startswith("order/")
         assert results["final"][1]["order"]["status"] == "fulfilled"
         assert results["namespaced"][1]["key"] == "order/bare-key"
+
+    def test_shards_build_a_sharded_backend_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            app, gateway, listener = serve_retail(port=0, factor=0.0,
+                                                  shards=2)
+        try:
+            backend = app.de.backend
+            assert isinstance(backend, ShardedStore)
+            assert len(backend.shards) == 2
+        finally:
+            listener.stop()
+            app.env.close()
 
     def test_bad_request_rejected(self):
         app, gateway, listener = serve_retail(port=0, factor=0.0)

@@ -18,7 +18,6 @@ from repro.store import (
     Topology,
 )
 from repro.store.memkv import MemKVClient
-from repro.store.ring import _reset_deprecations, coerce_shards_knob
 
 
 def make_store(env, net, shards=1, backend=MemKV, seed=0, max_shards=4,
@@ -296,22 +295,3 @@ class TestIngestDurability:
             return True
 
         assert drive(env, driver())
-
-
-class TestDeprecationShims:
-    def test_shards_knob_coerces_and_warns_once(self):
-        _reset_deprecations()
-        with pytest.warns(DeprecationWarning, match="topology=Topology"):
-            topology = coerce_shards_knob(4, "TestCase(shards=)")
-        assert topology.shards == 4
-        # Warn-once: the same call site stays quiet afterwards.
-        assert coerce_shards_knob(4, "TestCase(shards=)").shards == 4
-        assert coerce_shards_knob(1, "TestCase(shards=)") is None
-
-    def test_shard_index_shim_matches_the_ring(self):
-        from repro.store import ShardRing, shard_index
-
-        _reset_deprecations()
-        with pytest.warns(DeprecationWarning, match="consistent-hash ring"):
-            index = shard_index("order/1", 4)
-        assert index == ShardRing.for_count(4).owner_index("order/1")

@@ -5,15 +5,16 @@ import pytest
 from repro.apps.retail.knactor_app import RetailKnactorApp
 from repro.apps.retail.workload import OrderWorkload
 from repro.core.optimizer import K_REDIS
-from repro.errors import ConfigurationError
 from repro.metrics.telemetry import (
-    SLOMonitor,
     _state_plane_stats,
     exchange_durations,
     reconcile_durations,
     resilience_snapshot,
     runtime_snapshot,
 )
+from repro.errors import ConfigurationError
+from repro.obs.slo import TraceLatencySLO
+from repro.util.stats import interpolated
 
 
 @pytest.fixture(scope="module")
@@ -131,49 +132,36 @@ class TestExchangeDurations:
         assert reconcile_durations(app.tracer, "ghost") == []
 
 
-class TestSLOMonitor:
+class TestTraceLatencySLO:
+    """Latency objectives over the retail integrator's exchange spans."""
+
     def test_met_slo(self, app):
-        monitor = SLOMonitor("exchange-fast", "retail-cast",
-                             target_seconds=1.0)
-        report = monitor.evaluate(app.tracer)
-        assert report.met
-        assert report.sample_count == app.cast.exchanges_run
-        assert "MET" in report.describe()
+        spec = TraceLatencySLO("exchange-fast", integrator="retail-cast",
+                               target_seconds=1.0)
+        result = spec.evaluate_trace(app.tracer)
+        assert result.met and not result.no_data
+        assert result.sample_count == app.cast.exchanges_run
+        assert result.good == result.total == result.sample_count
+        assert "MET" in result.describe()
 
     def test_violated_slo(self, app):
-        monitor = SLOMonitor("impossible", "retail-cast",
-                             target_seconds=1e-9)
-        report = monitor.evaluate(app.tracer)
-        assert not report.met
-        assert "VIOLATED" in report.describe()
+        spec = TraceLatencySLO("impossible", integrator="retail-cast",
+                               target_seconds=1e-9)
+        result = spec.evaluate_trace(app.tracer)
+        assert not result.met
+        assert "VIOLATED" in result.describe()
 
     def test_custom_percentile(self, app):
-        monitor = SLOMonitor("median", "retail-cast",
-                             target_seconds=1.0, percentile=0.5)
-        report = monitor.evaluate(app.tracer)
-        assert report.percentile == 0.5
+        spec = TraceLatencySLO("median", integrator="retail-cast",
+                               target_seconds=1.0, percentile=0.5)
+        result = spec.evaluate_trace(app.tracer)
+        assert result.target == 0.5
+        durations = sorted(exchange_durations(app.tracer, "retail-cast"))
+        assert result.observed == interpolated(durations, 0.5)
 
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
-            SLOMonitor("x", "cast", target_seconds=0)
+            TraceLatencySLO("x", integrator="cast", target_seconds=0)
         with pytest.raises(ConfigurationError):
-            SLOMonitor("x", "cast", target_seconds=1, percentile=1.5)
-
-    def test_no_samples_is_a_no_data_report(self, app):
-        """Zero spans is an answer, not a crash: a dead integrator reads
-        as a violated objective so the monitoring loop keeps running."""
-        monitor = SLOMonitor("empty", "ghost-integrator", target_seconds=1.0)
-        report = monitor.evaluate(app.tracer)
-        assert report.no_data
-        assert not report.met
-        assert report.sample_count == 0
-        assert report.observed_seconds == 0.0
-        assert "NO DATA" in report.describe()
-        assert "NOT MET" in report.describe()
-        assert monitor.reports == [report]
-
-    def test_reports_accumulate(self, app):
-        monitor = SLOMonitor("history", "retail-cast", target_seconds=1.0)
-        monitor.evaluate(app.tracer)
-        monitor.evaluate(app.tracer)
-        assert len(monitor.reports) == 2
+            TraceLatencySLO("x", integrator="cast", target_seconds=1,
+                            percentile=1.5)
